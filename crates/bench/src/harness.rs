@@ -303,18 +303,44 @@ impl Harness {
     }
 
     /// The shared trace + digest for one stage of a workload's frame,
-    /// cloned out of the frame and hashed once on first use.
+    /// hashed once on first use (the batch paths hash ahead of time on
+    /// the pool, see [`Harness::digest_stages`]).
     fn service_trace(&mut self, id: &str, stage: usize) -> (Arc<KernelTrace>, Digest) {
         let wid = WorkloadId(self.workload_names.intern(id));
         if let Some((trace, digest)) = self.service_traces.get(&(wid, stage)) {
             return (Arc::clone(trace), *digest);
         }
-        let frame = self.traces_arc(id);
-        let trace = Arc::new(frame.stages()[stage].trace().clone());
+        let trace = Arc::clone(self.traces_arc(id).stages()[stage].shared_trace());
         let digest = trace_digest(&trace);
         self.service_traces
             .insert((wid, stage), (Arc::clone(&trace), digest));
         (trace, digest)
+    }
+
+    /// Digests every not-yet-hashed `(workload, stage)` trace on the
+    /// job pool. Largest traces go first, so the longest hash starts
+    /// earliest instead of trailing the batch on one worker.
+    fn digest_stages(&mut self, stages: impl IntoIterator<Item = (String, usize)>) {
+        let mut seen = HashSet::new();
+        let mut todo = Vec::new();
+        for (id, stage) in stages {
+            let wid = WorkloadId(self.workload_names.intern(&id));
+            if self.service_traces.contains_key(&(wid, stage)) || !seen.insert((wid, stage)) {
+                continue;
+            }
+            let trace = Arc::clone(self.traces_arc(&id).stages()[stage].shared_trace());
+            todo.push(((wid, stage), trace));
+        }
+        // JSON size is dominated by lane ops, then instructions.
+        todo.sort_by_key(|(_, t)| {
+            let instrs: usize = t.warps().iter().map(|w| w.instrs.len()).sum();
+            std::cmp::Reverse(t.total_atomic_requests() + instrs as u64)
+        });
+        let digested = par_map(self.jobs, todo, |(slot, trace)| {
+            let digest = trace_digest(&trace);
+            (slot, (trace, digest))
+        });
+        self.service_traces.extend(digested);
     }
 
     /// The index of the frame's primary rewritable stage (gradcomp for
@@ -605,6 +631,11 @@ impl Harness {
         }
 
         if self.service_enabled() {
+            let stages: Vec<(String, usize)> = misses
+                .iter()
+                .map(|(_, _, id)| (id.clone(), self.rewritable_index(id)))
+                .collect();
+            self.digest_stages(stages);
             let svc: Vec<ServiceCell> = misses
                 .iter()
                 .map(|(cfg, t, id)| {
@@ -773,6 +804,16 @@ impl Harness {
         }
 
         if self.service_enabled() {
+            let mut stages = Vec::new();
+            for (_, _, id) in &misses {
+                if iteration {
+                    let n = self.traces_arc(id).stages().len();
+                    stages.extend((0..n).map(|stage| (id.clone(), stage)));
+                } else {
+                    stages.push((id.clone(), self.rewritable_index(id)));
+                }
+            }
+            self.digest_stages(stages);
             if iteration {
                 // One kernel request per frame stage per cell, flattened
                 // so the pool (or daemon) schedules them all at once;

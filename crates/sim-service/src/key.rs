@@ -58,7 +58,7 @@ use gpu_sim::GpuConfig;
 use warp_trace::KernelTrace;
 
 /// Append one length-prefixed segment.
-fn seg(h: &mut Blake2s, bytes: &[u8]) {
+pub(crate) fn seg(h: &mut Blake2s, bytes: &[u8]) {
     h.update(&(bytes.len() as u64).to_le_bytes());
     h.update(bytes);
 }
@@ -67,12 +67,15 @@ fn seg(h: &mut Blake2s, bytes: &[u8]) {
 ///
 /// This is the expensive part of key derivation for large traces;
 /// callers batching many cells over the same trace should compute it
-/// once and pass it to [`store_key`].
+/// once and pass it to [`store_key`]. The JSON is written once into a
+/// buffer and hashed from there: `seg` needs the length before the
+/// bytes, so the text cannot be streamed into the hasher as it is
+/// written without changing every existing key.
 pub fn trace_digest(trace: &KernelTrace) -> Digest {
-    let json = serde_json::to_string(trace).expect("KernelTrace serializes");
+    let json = serde_json::to_vec(trace).expect("KernelTrace serializes");
     let mut h = Blake2s::new();
     seg(&mut h, b"arc-trace-v1");
-    seg(&mut h, json.as_bytes());
+    seg(&mut h, &json);
     h.finalize()
 }
 
@@ -330,6 +333,39 @@ mod tests {
         assert_ne!(
             hist_piped,
             store_key("v1", &cfg, Technique::ArcHw, true, None, &t, &all)
+        );
+    }
+
+    /// The digest of a fixed trace, pinned to the value computed before
+    /// the JSON writer was rewritten: any byte the writer moves would
+    /// re-key every store entry.
+    #[test]
+    fn trace_digest_is_pinned() {
+        use warp_trace::{AtomicBundle, AtomicInstr, LaneOp, WarpTrace};
+        let op = |lane, addr, value| LaneOp { lane, addr, value };
+        let mut a = WarpTraceBuilder::new();
+        a.compute_fp32(3)
+            .load(2)
+            .atomic(AtomicInstr::new(vec![
+                op(0, 64, 0.1),
+                op(7, u64::MAX, -2.5e-7),
+                op(31, 0, f32::MAX),
+            ]))
+            .store(1);
+        let mut b = WarpTraceBuilder::new();
+        b.compute_ffma(2)
+            .atomic_bundle(AtomicBundle::non_uniform(vec![
+                AtomicInstr::new(vec![op(3, 128, 1.0)]),
+                AtomicInstr::new(vec![]),
+            ]));
+        let trace = KernelTrace::new(
+            "pin \"q\" \\ k",
+            KernelKind::GradCompute,
+            vec![a.finish(), b.finish(), WarpTrace::new()],
+        );
+        assert_eq!(
+            trace_digest(&trace).to_hex(),
+            "bbf7cd22276f0e971764e99c3a4a4bf271aeb8e5cbfd2a69b9972e3d59aff20b"
         );
     }
 

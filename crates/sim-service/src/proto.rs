@@ -142,25 +142,30 @@ impl WireResponse {
 }
 
 /// Serialize `value` and write it as one frame.
+///
+/// The JSON is written once, into a buffer that starts with the 4-byte
+/// length slot (patched in once the length is known), and the whole
+/// frame goes out in one `write_all`.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, value: &T) -> io::Result<()> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let bytes = json.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
-    }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    // Four NULs keep the buffer valid UTF-8 while the writer fills it.
+    let mut json = serde::Writer::new("\0\0\0\0".to_string(), false);
+    value.serialize(&mut json);
+    let mut frame = json.into_string().into_bytes();
+    let len = u32::try_from(frame.len() - 4)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Read one frame and deserialize it. `Ok(None)` means the peer closed
 /// the stream cleanly between frames.
+///
+/// The length prefix is untrusted: the body buffer grows only as bytes
+/// actually arrive, so a forged prefix costs nothing until the peer
+/// sends that much data.
 pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> io::Result<Option<T>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
@@ -175,11 +180,78 @@ pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> io::Result<Option<T>> {
             format!("frame length {len} exceeds cap"),
         ));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::new();
+    r.take(u64::from(len)).read_to_end(&mut buf)?;
+    if buf.len() < len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated at {} of {len} bytes", buf.len()),
+        ));
+    }
     let text = String::from_utf8(buf)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
     let value = serde_json::from_str(&text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     Ok(Some(value))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frames_round_trip_with_a_patched_length() {
+        let req = WireRequest {
+            id: 7,
+            op: "ping".to_string(),
+            cell: None,
+            cells: None,
+        };
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &req).unwrap();
+        let json = serde_json::to_string(&req).unwrap();
+        assert_eq!(buf[..4], (json.len() as u32).to_be_bytes());
+        assert_eq!(&buf[4..], json.as_bytes());
+        let back: WireRequest = read_frame(&mut buf.as_slice()).unwrap().unwrap();
+        assert_eq!((back.id, back.op), (7, "ping".to_string()));
+        // A clean close between frames.
+        assert!(read_frame::<_, WireRequest>(&mut &buf[buf.len()..])
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn forged_length_prefix_is_a_truncation_not_an_allocation() {
+        /// Records the largest buffer the frame reader asks it to fill.
+        struct Recording<'a> {
+            data: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+
+        // A 256 MiB prefix, then 10 bytes and EOF.
+        let mut bytes = MAX_FRAME_BYTES.to_be_bytes().to_vec();
+        bytes.extend_from_slice(b"{\"id\":1,\"o");
+        let mut r = Recording {
+            data: &bytes,
+            largest: 0,
+        };
+        let err = read_frame::<_, WireRequest>(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest < 1 << 16,
+            "the reader offered a {} byte buffer for 10 bytes of data",
+            r.largest
+        );
+
+        let mut over = (MAX_FRAME_BYTES + 1).to_be_bytes().to_vec();
+        over.extend_from_slice(b"{}");
+        let err = read_frame::<_, WireRequest>(&mut over.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
 }

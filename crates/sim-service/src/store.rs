@@ -527,3 +527,49 @@ impl Drop for PinGuard<'_> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The index file's JSON, compact and pretty, pinned to the bytes
+    /// written before the JSON writer was rewritten.
+    #[test]
+    fn index_file_bytes_are_pinned() {
+        let entry = |key: &str, bytes, seq, last_hit| IndexEntry {
+            key: key.to_string(),
+            bytes,
+            seq,
+            last_hit,
+        };
+        let idx = IndexFile {
+            sim_version: "v\"1".to_string(),
+            next_seq: 3,
+            entries: vec![entry("ab", 10, 1, 0), entry("cd", u64::MAX, 2, 7)],
+        };
+        let empty = IndexFile {
+            sim_version: String::new(),
+            next_seq: 0,
+            entries: Vec::new(),
+        };
+        let cases = [
+            (
+                &idx,
+                "{\"sim_version\":\"v\\\"1\",\"next_seq\":3,\"entries\":[{\"key\":\"ab\",\"bytes\":10,\"seq\":1,\"last_hit\":0},{\"key\":\"cd\",\"bytes\":18446744073709551615,\"seq\":2,\"last_hit\":7}]}",
+                "{\n  \"sim_version\": \"v\\\"1\",\n  \"next_seq\": 3,\n  \"entries\": [\n    {\n      \"key\": \"ab\",\n      \"bytes\": 10,\n      \"seq\": 1,\n      \"last_hit\": 0\n    },\n    {\n      \"key\": \"cd\",\n      \"bytes\": 18446744073709551615,\n      \"seq\": 2,\n      \"last_hit\": 7\n    }\n  ]\n}",
+            ),
+            (
+                &empty,
+                "{\"sim_version\":\"\",\"next_seq\":0,\"entries\":[]}",
+                "{\n  \"sim_version\": \"\",\n  \"next_seq\": 0,\n  \"entries\": []\n}",
+            ),
+        ];
+        for (value, compact, pretty) in cases {
+            assert_eq!(serde_json::to_string(value).unwrap(), compact);
+            assert_eq!(serde_json::to_string_pretty(value).unwrap(), pretty);
+            // Writing the parsed tree reproduces the direct write.
+            let tree: serde::Value = serde_json::from_str(compact).unwrap();
+            assert_eq!(serde_json::to_string(&tree).unwrap(), compact);
+        }
+    }
+}

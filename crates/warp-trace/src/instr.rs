@@ -106,11 +106,10 @@ pub struct AtomicInstr {
 // the `Arc` is invisible to serialization, and every golden trace file
 // round-trips unchanged.
 impl Serialize for AtomicInstr {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Object(vec![(
-            "ops".to_string(),
-            Serialize::serialize(&self.ops[..]),
-        )])
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.field("ops", &self.ops[..]);
+        w.end_object();
     }
 }
 

@@ -20,10 +20,16 @@
 //!   (`prepare_cow`); [`StageRole::Fixed`] stages run as-is on the
 //!   technique's hardware path.
 //!
+//! The trace itself sits behind an [`Arc`], so handing a stage's trace
+//! to a simulation request ([`KernelStage::shared_trace`]) shares it
+//! instead of copying every warp.
+//!
 //! The legacy three-stage shape is [`FrameTrace::legacy`]; consumers
 //! that only care about the classic triple keep working through the
 //! [`FrameTrace::forward`]/[`loss`](FrameTrace::loss)/
 //! [`gradcomp`](FrameTrace::gradcomp) accessors.
+
+use std::sync::Arc;
 
 use warp_trace::{KernelKind, KernelTrace};
 
@@ -45,7 +51,7 @@ pub struct KernelStage {
     name: String,
     kind: KernelKind,
     role: StageRole,
-    trace: KernelTrace,
+    trace: Arc<KernelTrace>,
 }
 
 impl KernelStage {
@@ -55,7 +61,7 @@ impl KernelStage {
             name: name.into(),
             kind: trace.kind(),
             role,
-            trace,
+            trace: Arc::new(trace),
         }
     }
 
@@ -76,6 +82,12 @@ impl KernelStage {
 
     /// The stage's kernel trace.
     pub fn trace(&self) -> &KernelTrace {
+        &self.trace
+    }
+
+    /// The stage's kernel trace as a shared handle: cloning it is a
+    /// reference-count bump, not a copy of the trace.
+    pub fn shared_trace(&self) -> &Arc<KernelTrace> {
         &self.trace
     }
 

@@ -13,10 +13,14 @@
 #   conformance  fuzzer + oracle + metamorphic invariants, fixed seed
 #   determinism  byte-identity matrix over ARC_JOBS x ARC_SIM_WORKERS x
 #                ARC_FF x ARC_SIM_EPOCH
-#   store        result-store round-trip: the fixed `simserved sweep`
-#                grid runs cold then warm against a temp store; stdout
-#                must be byte-identical, the warm pass must be all hits
-#                and >= 5x faster
+#   store        result-store round-trip: the JSON writer byte-identity
+#                snapshots (store keys and objects are hashes of those
+#                bytes), the sim-service unit tests (pinned trace digest,
+#                daemon fail-closed coalescing and dedup keys, frame
+#                length checks), then the fixed `simserved sweep` grid
+#                runs cold then warm against a temp store; stdout must
+#                be byte-identical, the warm pass must be all hits and
+#                >= 5x faster
 #   frame        multi-kernel frame pipeline: the tile-binned 3DGS
 #                structural tests (sorted-key monotonicity, bin-edge /
 #                scan cross-check, image == functional rasterizer), the
@@ -162,6 +166,12 @@ step_determinism() {
 }
 
 step_store() {
+  echo "== JSON writer byte-identity (snapshots blessed before the writer rewrite) =="
+  cargo test -q -p conformance --test json_identity
+
+  echo "== sim-service unit tests (digest pin, daemon fail-closed, frames) =="
+  cargo test -q -p sim-service --lib
+
   cargo build --release -q -p sim-service --bin simserved
 
   echo "== result store round-trip (simserved sweep, cold vs warm) =="

@@ -5,20 +5,41 @@
 //! name. It is intentionally *not* wire-compatible with real serde:
 //! the only guarantee is that values produced by this crate's
 //! [`Serialize`] round-trip through [`Deserialize`] (and the JSON
-//! writer/parser in the sibling `serde_json` shim). All consumers are
-//! inside this repository, so self-consistency is sufficient.
+//! parser in the sibling `serde_json` shim). All consumers are inside
+//! this repository, so self-consistency is sufficient.
+//!
+//! # One writer
+//!
+//! [`Serialize`] writes JSON text straight into a [`Writer`]; there is
+//! no intermediate tree. Every JSON byte the workspace produces —
+//! `serde_json::to_string`/`to_string_pretty`/`to_vec`, trace digests,
+//! store objects, daemon frames — comes out of this one writer, so the
+//! formatting rules live in exactly one place:
+//!
+//! * floats print with `{:?}` (always a decimal point or exponent, so
+//!   they parse back as floats); non-finite floats print as `null`;
+//! * strings escape `"`, `\`, `\n`, `\r`, `\t` and other control
+//!   characters as `\u00XX`;
+//! * pretty output indents by two spaces per level, with `key: value`
+//!   pairs; empty containers print as `[]` / `{}` in both modes.
+//!
+//! Deserialization still goes through the self-describing [`Value`]
+//! tree, which the `serde_json` parser builds. [`Value`] is itself
+//! [`Serialize`], so writing a parsed tree reproduces the text it was
+//! parsed from byte for byte.
 //!
 //! Supported shapes (via `#[derive(Serialize, Deserialize)]`):
 //! structs with named fields, tuple structs, unit structs, and enums
-//! with unit / tuple / struct variants. `#[serde(...)]` attributes are
-//! accepted and ignored.
+//! with unit / tuple / struct variants. Of the `#[serde(...)]`
+//! attributes only `#[serde(default)]` on a named field is honored.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::fmt::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// The self-describing value tree every type serializes into.
+/// The self-describing value tree JSON text parses into.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// JSON `null` (also `Option::None` and non-finite floats).
@@ -123,10 +144,199 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can render themselves as a [`Value`] tree.
+/// A JSON text writer: the sink every [`Serialize`] impl writes into.
+///
+/// Containers are written as `begin_*`, then one [`Writer::item`] per
+/// array element or one [`Writer::field`] per object member, then
+/// `end_*`; the writer places separators and (in pretty mode)
+/// newlines and indentation.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// No member has been written yet in the innermost open container.
+    first: bool,
+}
+
+impl Writer {
+    /// A writer appending to `out`: compact, or pretty-printed with a
+    /// two-space indent.
+    pub fn new(out: String, pretty: bool) -> Self {
+        Writer {
+            out,
+            pretty,
+            depth: 0,
+            first: true,
+        }
+    }
+
+    /// The buffer, with everything written so far appended.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// Writes a boolean.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes a signed integer.
+    pub fn i64(&mut self, n: i64) {
+        if n < 0 {
+            self.out.push('-');
+        }
+        self.u64(n.unsigned_abs());
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, mut n: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.out
+            .push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+    }
+
+    /// Writes a float: `{:?}` keeps a decimal point or exponent, so the
+    /// parser reads the number back as a float; non-finite values have
+    /// no JSON form and write `null`.
+    pub fn f64(&mut self, x: f64) {
+        if x.is_finite() {
+            let _ = write!(self.out, "{x:?}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// Writes an escaped string literal.
+    pub fn str(&mut self, s: &str) {
+        self.out.push('"');
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Every byte that needs escaping is ASCII, so `run..i` and
+            // `i + 1..` always split `s` on character boundaries.
+            self.out.push_str(&s[run..i]);
+            if escape.is_empty() {
+                let _ = write!(self.out, "\\u{:04x}", b);
+            } else {
+                self.out.push_str(escape);
+            }
+            run = i + 1;
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Writes one array element.
+    pub fn item<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.separate();
+        value.serialize(self);
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Writes one object member.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.serialize(self);
+    }
+
+    /// Writes an object member's key; the caller writes its value next.
+    pub fn key(&mut self, key: &str) {
+        self.separate();
+        self.str(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    /// Writes a whole array from an iterator of elements.
+    fn seq<'a, T: Serialize + 'a>(&mut self, items: impl IntoIterator<Item = &'a T>) {
+        self.begin_array();
+        for item in items {
+            self.item(item);
+        }
+        self.end_array();
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        // A closed container is a member of its parent (or the root),
+        // so the parent is no longer empty either.
+        self.first = false;
+    }
+
+    /// The separator before a container member: a comma after the
+    /// first, then (pretty) a newline at the member's depth.
+    fn separate(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.newline();
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', 2 * self.depth));
+        }
+    }
+}
+
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// Converts `self` into a [`Value`].
-    fn serialize(&self) -> Value;
+    /// Writes `self` into `w`.
+    fn serialize(&self, w: &mut Writer);
 }
 
 /// Types that can be rebuilt from a [`Value`] tree.
@@ -146,7 +356,7 @@ pub trait Deserialize: Sized {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value { Value::Int(i64::from(*self)) }
+            fn serialize(&self, w: &mut Writer) { w.i64(i64::from(*self)) }
         }
         impl Deserialize for $t {
             fn deserialize(v: &Value) -> Result<Self, Error> {
@@ -167,12 +377,7 @@ impl_signed!(i8, i16, i32, i64);
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                match i64::try_from(*self) {
-                    Ok(n) => Value::Int(n),
-                    Err(_) => Value::UInt(*self as u64),
-                }
-            }
+            fn serialize(&self, w: &mut Writer) { w.u64(*self as u64) }
         }
         impl Deserialize for $t {
             fn deserialize(v: &Value) -> Result<Self, Error> {
@@ -191,8 +396,8 @@ macro_rules! impl_unsigned {
 impl_unsigned!(u8, u16, u32, u64, usize);
 
 impl Serialize for isize {
-    fn serialize(&self) -> Value {
-        Value::Int(*self as i64)
+    fn serialize(&self, w: &mut Writer) {
+        w.i64(*self as i64);
     }
 }
 impl Deserialize for isize {
@@ -202,8 +407,8 @@ impl Deserialize for isize {
 }
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(*self);
     }
 }
 impl Deserialize for f64 {
@@ -222,8 +427,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::Float(f64::from(*self))
+    fn serialize(&self, w: &mut Writer) {
+        w.f64(f64::from(*self));
     }
 }
 impl Deserialize for f32 {
@@ -233,8 +438,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.bool(*self);
     }
 }
 impl Deserialize for bool {
@@ -247,8 +452,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 impl Deserialize for String {
@@ -264,14 +469,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 impl Deserialize for char {
@@ -286,14 +491,14 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 impl<T: Deserialize> Deserialize for Box<T> {
@@ -303,8 +508,23 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(n) => w.i64(*n),
+            Value::UInt(n) => w.u64(*n),
+            Value::Float(x) => w.f64(*x),
+            Value::Str(s) => w.str(s),
+            Value::Array(items) => w.seq(items),
+            Value::Object(pairs) => {
+                w.begin_object();
+                for (k, v) in pairs {
+                    w.field(k, v);
+                }
+                w.end_object();
+            }
+        }
     }
 }
 impl Deserialize for Value {
@@ -314,10 +534,10 @@ impl Deserialize for Value {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            None => Value::Null,
-            Some(x) => x.serialize(),
+            None => w.null(),
+            Some(x) => x.serialize(w),
         }
     }
 }
@@ -331,8 +551,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, w: &mut Writer) {
+        w.seq(self);
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -342,14 +562,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, w: &mut Writer) {
+        w.seq(self);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, w: &mut Writer) {
+        w.seq(self);
     }
 }
 impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
@@ -363,8 +583,10 @@ impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
 macro_rules! impl_tuple {
     ($(($($t:ident : $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn serialize(&self) -> Value {
-                Value::Array(vec![$(self.$i.serialize()),+])
+            fn serialize(&self, w: &mut Writer) {
+                w.begin_array();
+                $(w.item(&self.$i);)+
+                w.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -382,12 +604,12 @@ impl_tuple! {
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        for (k, v) in self {
+            w.field(k, v);
+        }
+        w.end_object();
     }
 }
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
@@ -406,14 +628,15 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
 }
 
 impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         // Sort keys so output is deterministic.
-        let mut pairs: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.serialize()))
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(pairs)
+        let mut pairs: Vec<(&String, &V)> = self.iter().collect();
+        pairs.sort_by(|a, b| a.0.cmp(b.0));
+        w.begin_object();
+        for (k, v) in pairs {
+            w.field(k, v);
+        }
+        w.end_object();
     }
 }
 impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize for HashMap<String, V, S> {
@@ -435,25 +658,60 @@ impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize for HashMa
 mod tests {
     use super::*;
 
-    #[test]
-    fn primitive_roundtrips() {
-        assert_eq!(u64::deserialize(&u64::MAX.serialize()).unwrap(), u64::MAX);
-        assert_eq!(i32::deserialize(&(-7i32).serialize()).unwrap(), -7);
-        assert_eq!(f32::deserialize(&1.5f32.serialize()).unwrap(), 1.5);
-        assert!(bool::deserialize(&true.serialize()).unwrap());
-        let v: Vec<(String, f64)> = vec![("a".into(), 2.0)];
-        assert_eq!(
-            Vec::<(String, f64)>::deserialize(&v.serialize()).unwrap(),
-            v
-        );
+    fn json<T: Serialize + ?Sized>(x: &T, pretty: bool) -> String {
+        let mut w = Writer::new(String::new(), pretty);
+        x.serialize(&mut w);
+        w.into_string()
     }
 
     #[test]
-    fn option_roundtrip() {
-        let some = Some(3u32);
-        let none: Option<u32> = None;
-        assert_eq!(Option::<u32>::deserialize(&some.serialize()).unwrap(), some);
-        assert_eq!(Option::<u32>::deserialize(&none.serialize()).unwrap(), none);
+    fn primitives_write_json() {
+        assert_eq!(json(&u64::MAX, false), "18446744073709551615");
+        assert_eq!(json(&i64::MIN, false), "-9223372036854775808");
+        assert_eq!(json(&0u8, false), "0");
+        assert_eq!(json(&1.5f32, false), "1.5");
+        assert_eq!(json(&2.0f64, false), "2.0");
+        assert_eq!(json(&f64::NAN, false), "null");
+        assert_eq!(json(&true, false), "true");
+        assert_eq!(json(&Some(3u32), false), "3");
+        assert_eq!(json(&None::<u32>, false), "null");
+        assert_eq!(json("a\"\\\n\u{1}é", false), "\"a\\\"\\\\\\n\\u0001é\"");
+        let v: Vec<(String, f64)> = vec![("a".into(), 2.0)];
+        assert_eq!(json(&v, false), "[[\"a\",2.0]]");
+    }
+
+    #[test]
+    fn pretty_layout_and_empty_containers() {
+        let v = Value::Object(vec![
+            (
+                "a".into(),
+                Value::Array(vec![Value::Int(1), Value::Array(vec![])]),
+            ),
+            ("b".into(), Value::Object(vec![])),
+        ]);
+        assert_eq!(json(&v, false), "{\"a\":[1,[]],\"b\":{}}");
+        assert_eq!(
+            json(&v, true),
+            "{\n  \"a\": [\n    1,\n    []\n  ],\n  \"b\": {}\n}"
+        );
+        assert_eq!(json(&Value::Array(vec![]), true), "[]");
+    }
+
+    #[test]
+    fn writes_append_to_the_buffer() {
+        let mut w = Writer::new("prefix:".to_string(), false);
+        [1u8, 2].serialize(&mut w);
+        assert_eq!(w.into_string(), "prefix:[1,2]");
+    }
+
+    #[test]
+    fn deserialize_reads_value_trees() {
+        assert_eq!(u64::deserialize(&Value::UInt(u64::MAX)).unwrap(), u64::MAX);
+        assert_eq!(i32::deserialize(&Value::Int(-7)).unwrap(), -7);
+        assert_eq!(f32::deserialize(&Value::Float(1.5)).unwrap(), 1.5);
+        assert!(f64::deserialize(&Value::Null).unwrap().is_nan());
+        assert_eq!(Option::<u32>::deserialize(&Value::Null).unwrap(), None);
+        assert_eq!(Option::<u32>::deserialize(&Value::Int(3)).unwrap(), Some(3));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Derive macros for the offline `serde` stand-in.
 //!
 //! Parses the item's token stream directly (no `syn`/`quote`, which are
-//! unavailable offline) and emits `Serialize`/`Deserialize` impls that
-//! target the shim's `Value` tree. Of the `#[serde(...)]` attributes only
+//! unavailable offline) and emits `Serialize` impls that write JSON
+//! through the shim's `serde::Writer` and `Deserialize` impls that read
+//! the shim's `Value` tree. Of the `#[serde(...)]` attributes only
 //! `#[serde(default)]` on a named field is honored (the field falls back
 //! to `Default::default()` when absent, enabling forward-compatible
 //! formats); everything else is accepted and ignored — only internal
@@ -325,76 +326,57 @@ fn impl_header(item: &Input, trait_name: &str) -> String {
 
 fn gen_serialize(item: &Input) -> String {
     let name = &item.name;
+    // A named-field object whose member values are `access(field)`.
+    let object = |fields: &[Field], access: &dyn Fn(&str) -> String| {
+        let members: String = fields
+            .iter()
+            .map(|f| format!("__w.field(\"{f}\", {});", access(&f.name), f = f.name))
+            .collect();
+        format!("__w.begin_object(); {members} __w.end_object();")
+    };
+    let array = |items: Vec<String>| {
+        let items: String = items.iter().map(|i| format!("__w.item({i});")).collect();
+        format!("__w.begin_array(); {items} __w.end_array();")
+    };
     let body = match &item.kind {
-        Kind::UnitStruct => "serde::Value::Null".to_string(),
-        Kind::NamedStruct(fields) => {
-            let pairs: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(\"{f}\".to_string(), serde::Serialize::serialize(&self.{f}))",
-                        f = f.name
-                    )
-                })
-                .collect();
-            format!("serde::Value::Object(vec![{}])", pairs.join(", "))
-        }
-        Kind::TupleStruct(arity) => {
-            let items: Vec<String> = (0..*arity)
-                .map(|i| format!("serde::Serialize::serialize(&self.{i})"))
-                .collect();
-            format!("serde::Value::Array(vec![{}])", items.join(", "))
-        }
+        Kind::UnitStruct => "__w.null();".to_string(),
+        Kind::NamedStruct(fields) => object(fields, &|f| format!("&self.{f}")),
+        Kind::TupleStruct(arity) => array((0..*arity).map(|i| format!("&self.{i}")).collect()),
         Kind::Enum(variants) => {
+            // Unit variants are bare strings; data variants are a
+            // one-member object `{"Variant": payload}`.
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vname = &v.name;
-                    match &v.shape {
-                        Shape::Unit => format!(
-                            "{name}::{vname} => serde::Value::Str(\"{vname}\".to_string()),"
-                        ),
+                    let (pattern, payload) = match &v.shape {
+                        Shape::Unit => {
+                            return format!("{name}::{vname} => __w.str(\"{vname}\"),");
+                        }
                         Shape::Tuple(arity) => {
                             let binds: Vec<String> =
-                                (0..*arity).map(|i| format!("f{i}")).collect();
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("serde::Serialize::serialize({b})"))
-                                .collect();
-                            format!(
-                                "{name}::{vname}({binds}) => serde::Value::Object(vec![(\"{vname}\".to_string(), serde::Value::Array(vec![{items}]))]),",
-                                binds = binds.join(", "),
-                                items = items.join(", ")
-                            )
+                                (0..*arity).map(|i| format!("__f{i}")).collect();
+                            (format!("({})", binds.join(", ")), array(binds))
                         }
                         Shape::Named(fields) => {
-                            let binds = fields
-                                .iter()
-                                .map(|f| f.name.clone())
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            let pairs: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(\"{f}\".to_string(), serde::Serialize::serialize({f}))",
-                                        f = f.name
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vname} {{ {binds} }} => serde::Value::Object(vec![(\"{vname}\".to_string(), serde::Value::Object(vec![{pairs}]))]),",
-                                pairs = pairs.join(", ")
+                            let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                            (
+                                format!("{{ {} }}", binds.join(", ")),
+                                object(fields, &|f| f.to_string()),
                             )
                         }
-                    }
+                    };
+                    format!(
+                        "{name}::{vname} {pattern} => {{ __w.begin_object(); \
+                         __w.key(\"{vname}\"); {payload} __w.end_object(); }}"
+                    )
                 })
                 .collect();
             format!("match self {{ {} }}", arms.join(" "))
         }
     };
     format!(
-        "#[automatically_derived]\n{header} {{\n    fn serialize(&self) -> serde::Value {{\n        {body}\n    }}\n}}\n",
+        "#[automatically_derived]\n{header} {{\n    fn serialize(&self, __w: &mut serde::Writer) {{\n        {body}\n    }}\n}}\n",
         header = impl_header(item, "Serialize")
     )
 }

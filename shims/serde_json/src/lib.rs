@@ -1,15 +1,17 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Serializes the shim `serde::Value` tree to JSON text and parses it
-//! back. Round-trips everything the sibling `serde` shim produces;
-//! it is not a general-purpose JSON implementation (no `\u` escapes
-//! beyond what the writer emits, no arbitrary-precision numbers).
-
-use std::fmt::Write as _;
+//! Writing is the sibling `serde` shim's [`serde::Writer`]: every
+//! `to_*` function here runs a value's [`Serialize`] impl straight into
+//! one buffer, with no intermediate tree (see the `serde` shim's docs
+//! for the format rules). Reading parses JSON text into a
+//! [`Value`] tree and deserializes from that. Round-trips everything
+//! the writer produces; it is not a general-purpose JSON
+//! implementation (no `\u` escapes beyond what the writer emits, no
+//! arbitrary-precision numbers).
 
 pub use serde::Value;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 
 /// JSON encoding/decoding error.
 #[derive(Clone, Debug)]
@@ -35,13 +37,15 @@ impl From<serde::Error> for Error {
     }
 }
 
-/// Converts any serializable value into a [`Value`] tree.
+/// Converts any serializable value into a [`Value`] tree by parsing
+/// what the writer writes for it (so, for example, a NaN float becomes
+/// [`Value::Null`]).
 ///
 /// # Errors
 ///
 /// Never fails in this shim; the `Result` mirrors the real API.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.serialize())
+    from_str(&to_string(value)?)
 }
 
 /// Rebuilds a typed value from a [`Value`] tree.
@@ -53,15 +57,29 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
     Ok(T::deserialize(value)?)
 }
 
+fn write<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+    let mut w = Writer::new(String::new(), pretty);
+    value.serialize(&mut w);
+    w.into_string()
+}
+
 /// Serializes a value to compact JSON text.
 ///
 /// # Errors
 ///
 /// Never fails in this shim; the `Result` mirrors the real API.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), None, 0);
-    Ok(out)
+    Ok(write(value, false))
+}
+
+/// Serializes a value to compact JSON bytes (the same bytes as
+/// [`to_string`]).
+///
+/// # Errors
+///
+/// Never fails in this shim; the `Result` mirrors the real API.
+pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
+    Ok(write(value, false).into_bytes())
 }
 
 /// Serializes a value to pretty-printed JSON text (2-space indent).
@@ -70,9 +88,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 ///
 /// Never fails in this shim; the `Result` mirrors the real API.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), Some(2), 0);
-    Ok(out)
+    Ok(write(value, true))
 }
 
 /// Parses JSON text into a typed value.
@@ -91,113 +107,6 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
         return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(T::deserialize(&v)?)
-}
-
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(x) => {
-            if x.is_finite() {
-                // `{:?}` keeps a decimal point or exponent, so the
-                // parser reads the number back as a float.
-                let _ = write!(out, "{x:?}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => write_seq(
-            out,
-            items.iter(),
-            items.len(),
-            indent,
-            depth,
-            '[',
-            ']',
-            |out, item, indent, depth| {
-                write_value(out, item, indent, depth);
-            },
-        ),
-        Value::Object(pairs) => write_seq(
-            out,
-            pairs.iter(),
-            pairs.len(),
-            indent,
-            depth,
-            '{',
-            '}',
-            |out, (k, v), indent, depth| {
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, v, indent, depth);
-            },
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_seq<T>(
-    out: &mut String,
-    items: impl Iterator<Item = T>,
-    len: usize,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    mut write_item: impl FnMut(&mut String, T, Option<usize>, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
-        }
-        write_item(out, item, indent, depth + 1);
-    }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
-    out.push(close);
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------
@@ -438,6 +347,16 @@ mod tests {
             let back: Value = from_str(&text).unwrap();
             assert_eq!(back, v);
         }
+    }
+
+    #[test]
+    fn to_value_parses_what_was_written() {
+        let v = vec![Some(1.5f64), None, Some(f64::NAN)];
+        assert_eq!(
+            to_value(&v).unwrap(),
+            Value::Array(vec![Value::Float(1.5), Value::Null, Value::Null])
+        );
+        assert_eq!(to_vec(&v).unwrap(), to_string(&v).unwrap().into_bytes());
     }
 
     #[test]
