@@ -29,9 +29,11 @@
 //!
 //! `--store DIR` (or `ARC_STORE`) routes simulations through the
 //! persistent result store — reruns at the same scale skip every
-//! already-simulated cell. `--daemon SOCK` sends cells to a running
-//! `simserved` instead. Both produce byte-identical output to a plain
-//! run.
+//! already-simulated cell, and every render the store's trace-digest
+//! memo makes unnecessary; a `store-summary frames_built … hits …
+//! misses … puts …` line on stderr says how much was skipped.
+//! `--daemon SOCK` sends cells to a running `simserved` instead. Both
+//! produce byte-identical output to a plain run.
 //!
 //! `--passes SPEC` (or `ARC_PASSES`) runs the trace-IR optimizer pass
 //! pipeline (`arc_core::passes`) on every kernel before its technique
@@ -411,6 +413,17 @@ fn main() {
             Ok(()) => println!("\nraw data written to {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
+    }
+    // On stderr so stdout stays byte-comparable between cold and warm
+    // store runs; CI reads this line to check a warm run renders nothing.
+    if let Some(stats) = h.store_stats() {
+        eprintln!(
+            "store-summary frames_built {} hits {} misses {} puts {}",
+            h.frames_built(),
+            stats.hits,
+            stats.misses,
+            stats.puts
+        );
     }
 }
 

@@ -2,13 +2,17 @@
 //!
 //! ```text
 //! simserved serve --sock PATH [--store DIR] [--jobs N]
-//! simserved fsck  --store DIR
+//! simserved fsck  --store DIR [--verify-traces]
 //! simserved gc    --store DIR --max-bytes N
 //! simserved sweep --store DIR [--scale S] [--jobs N] [--daemon SOCK]
 //! ```
 //!
 //! `serve` runs the daemon until a client sends `shutdown`. `fsck`
-//! verifies every object and rebuilds the index; `gc` evicts
+//! verifies every object and trace-digest memo and rebuilds the index;
+//! with `--verify-traces` it also re-renders every memoized workload
+//! spec, compares the fresh stage digests with the memo's, deletes the
+//! memos that disagree and exits non-zero if there were any (CI's proof
+//! that a memoized digest equals a fresh one). `gc` evicts
 //! oldest-first down to a byte budget. `sweep` simulates a fixed,
 //! deterministic cell grid through the store (or a daemon) and prints
 //! one canonical line per cell — CI runs it twice against a fresh store
@@ -24,7 +28,8 @@ use arc_core::BalanceThreshold;
 use gpu_sim::telemetry::TelemetryConfig;
 use gpu_sim::GpuConfig;
 use sim_service::{
-    daemon, exec, trace_digest, DaemonClient, EngineOpts, ResultStore, SimRequest, WireCell,
+    daemon, exec, trace_digest, DaemonClient, EngineOpts, MemoStage, ResultStore, SimRequest,
+    WireCell,
 };
 
 fn usage() -> ExitCode {
@@ -32,7 +37,8 @@ fn usage() -> ExitCode {
         "usage: simserved <serve|fsck|gc|sweep> [options]\n\
          \n\
          serve --sock PATH [--store DIR] [--jobs N]   run the daemon\n\
-         fsck  --store DIR                            verify objects, rebuild index\n\
+         fsck  --store DIR [--verify-traces]          verify objects and memos (and re-render\n\
+                                                      memoized specs), rebuild index\n\
          gc    --store DIR --max-bytes N              evict oldest entries to fit N bytes\n\
          sweep --store DIR [--scale S] [--jobs N]     run the fixed CI cell grid through the store\n\
                [--daemon SOCK]                        ...or through a running daemon"
@@ -49,6 +55,37 @@ fn take_opt(args: &mut Vec<String>, flag: &str) -> Option<String> {
     }
     args.remove(pos);
     Some(args.remove(pos))
+}
+
+/// Pop a bare `--flag` from `args`; true if it was there.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return false;
+    };
+    args.remove(pos);
+    true
+}
+
+/// The stages a memoized spec renders to now: the spec is built afresh
+/// and each stage trace digested on the pool. `None` if the spec is not
+/// a `WorkloadSpec`.
+fn render_stages(spec: &serde::Value) -> Option<Vec<MemoStage>> {
+    let spec: arc_workloads::WorkloadSpec = serde_json::from_value(spec).ok()?;
+    let frame = spec.build();
+    let traces: Vec<_> = frame.stages().iter().map(|s| s.shared_trace()).collect();
+    let digests = gpu_sim::par_map(gpu_sim::default_jobs(), traces, |t| trace_digest(t));
+    Some(
+        frame
+            .stages()
+            .iter()
+            .zip(digests)
+            .map(|(s, digest)| MemoStage {
+                name: s.name().to_string(),
+                rewritable: s.rewritable(),
+                digest,
+            })
+            .collect(),
+    )
 }
 
 fn open_store(dir: &str) -> ResultStore {
@@ -101,20 +138,42 @@ fn main() -> ExitCode {
                 eprintln!("simserved fsck: --store DIR is required");
                 return ExitCode::FAILURE;
             };
+            let verify = take_flag(&mut args, "--verify-traces");
             if !args.is_empty() {
                 return usage();
             }
             let store = open_store(&dir);
             match store.fsck() {
-                Ok(r) => {
-                    println!(
-                        "fsck: {} valid, {} removed, {} temp files swept",
-                        r.valid, r.removed, r.temps_swept
-                    );
-                    ExitCode::SUCCESS
-                }
+                Ok(r) => println!(
+                    "fsck: {} valid, {} removed, {} temp files swept; memos: {} valid, {} removed",
+                    r.valid, r.removed, r.temps_swept, r.memos_valid, r.memos_removed
+                ),
                 Err(e) => {
                     eprintln!("simserved: fsck failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+            if !verify {
+                return ExitCode::SUCCESS;
+            }
+            match store.verify_memos(render_stages) {
+                Ok(r) => {
+                    println!(
+                        "verify-traces: {} verified, {} mismatched (removed)",
+                        r.verified, r.mismatched
+                    );
+                    if r.mismatched == 0 {
+                        ExitCode::SUCCESS
+                    } else {
+                        eprintln!(
+                            "simserved: memoized trace digests disagree with a fresh render; \
+                             trace generation changed without a TRACEGEN_VERSION bump"
+                        );
+                        ExitCode::FAILURE
+                    }
+                }
+                Err(e) => {
+                    eprintln!("simserved: verify-traces failed: {e}");
                     ExitCode::FAILURE
                 }
             }
@@ -139,8 +198,8 @@ fn main() -> ExitCode {
             match store.gc(max_bytes) {
                 Ok(r) => {
                     println!(
-                        "gc: {} evicted, {} pinned kept, {} bytes remain",
-                        r.evicted, r.pinned_kept, r.bytes_after
+                        "gc: {} evicted, {} pinned kept, {} memos evicted, {} bytes remain",
+                        r.evicted, r.pinned_kept, r.memos_evicted, r.bytes_after
                     );
                     ExitCode::SUCCESS
                 }

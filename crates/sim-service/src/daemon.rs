@@ -105,6 +105,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Locks a connection's writer. A poisoned lock means a thread panicked
+/// while writing, so the stream may end mid-frame: the connection ends
+/// with this error instead of the panic spreading to its other threads.
+fn lock_writer<W>(writer: &Mutex<W>) -> io::Result<MutexGuard<'_, W>> {
+    writer
+        .lock()
+        .map_err(|_| io::Error::other("connection writer poisoned by a panicked writer"))
+}
+
 /// The in-flight table: one slot per distinct request being computed.
 #[derive(Default)]
 struct Coalescer {
@@ -241,16 +250,16 @@ fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) -> io::Result<()>
         };
         match req.op.as_str() {
             "ping" => {
-                write_frame(&mut *writer.lock().unwrap(), &WireResponse::ack(req.id))?;
+                write_frame(&mut *lock_writer(&writer)?, &WireResponse::ack(req.id))?;
             }
             "stats" => {
                 let mut resp = WireResponse::ack(req.id);
                 resp.stats = shared.store.as_ref().map(|s| s.stats());
-                write_frame(&mut *writer.lock().unwrap(), &resp)?;
+                write_frame(&mut *lock_writer(&writer)?, &resp)?;
             }
             "shutdown" => {
                 shared.stop.store(true, Ordering::SeqCst);
-                write_frame(&mut *writer.lock().unwrap(), &WireResponse::ack(req.id))?;
+                write_frame(&mut *lock_writer(&writer)?, &WireResponse::ack(req.id))?;
                 // Wake the accept loop so it observes the stop flag.
                 let _ = UnixStream::connect(&shared.sock);
                 return Ok(());
@@ -258,7 +267,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) -> io::Result<()>
             "sim" => {
                 let Some(cell) = req.cell else {
                     write_frame(
-                        &mut *writer.lock().unwrap(),
+                        &mut *lock_writer(&writer)?,
                         &WireResponse::err(req.id, None, "sim request without cell"),
                     )?;
                     continue;
@@ -271,7 +280,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) -> io::Result<()>
                     }
                     Err(e) => WireResponse::err(req.id, None, e),
                 };
-                write_frame(&mut *writer.lock().unwrap(), &resp)?;
+                write_frame(&mut *lock_writer(&writer)?, &resp)?;
             }
             "batch" => {
                 let cells = req.cells.unwrap_or_default();
@@ -299,17 +308,20 @@ fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) -> io::Result<()>
                                 }
                                 Err(e) => WireResponse::err(id, Some(i as u64), e),
                             };
-                            let _ = write_frame(&mut *writer.lock().unwrap(), &resp);
+                            let Ok(mut out) = lock_writer(&writer) else {
+                                return;
+                            };
+                            let _ = write_frame(&mut *out, &resp);
                         });
                     }
                 });
                 let mut done = WireResponse::ack(id);
                 done.done = true;
-                write_frame(&mut *writer.lock().unwrap(), &done)?;
+                write_frame(&mut *lock_writer(&writer)?, &done)?;
             }
             other => {
                 write_frame(
-                    &mut *writer.lock().unwrap(),
+                    &mut *lock_writer(&writer)?,
                     &WireResponse::err(req.id, None, format!("unknown op `{other}`")),
                 )?;
             }
@@ -516,5 +528,21 @@ mod tests {
             }
             assert_eq!(slot_key(&key, true), slot_key(&key, true));
         }
+    }
+
+    #[test]
+    fn a_poisoned_writer_is_an_io_error_not_a_panic() {
+        let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
+        lock_writer(&writer).unwrap().extend_from_slice(b"ok");
+        let poisoner = Arc::clone(&writer);
+        let panicked = std::thread::spawn(move || {
+            let _held = poisoner.lock().unwrap();
+            panic!("writer thread dies mid-frame");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let err = lock_writer(&writer).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        assert!(err.to_string().contains("poisoned"), "{err}");
     }
 }

@@ -65,6 +65,21 @@ impl Digest {
     }
 }
 
+/// Digests travel as their lower-hex string; anything else (wrong
+/// length, non-hex) fails to deserialize.
+impl serde::Serialize for Digest {
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(&self.to_hex());
+    }
+}
+
+impl serde::Deserialize for Digest {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let hex = String::deserialize(v)?;
+        Digest::from_hex(&hex).ok_or_else(|| serde::Error::new(format!("not a digest: `{hex}`")))
+    }
+}
+
 impl std::fmt::Debug for Digest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Digest({})", self.to_hex())

@@ -151,7 +151,7 @@ pub fn store_key_staged(
         seg(&mut h, passes.key().as_bytes());
     }
     if let Some(name) = stage {
-        if !LEGACY_STAGES.contains(&name) {
+        if !arc_workloads::is_legacy_stage(name) {
             let mut tagged = Vec::with_capacity(6 + name.len());
             tagged.extend_from_slice(b"stage:");
             tagged.extend_from_slice(name.as_bytes());
@@ -161,11 +161,24 @@ pub fn store_key_staged(
     h.finalize()
 }
 
-/// The stage names of the legacy three-kernel frame, whose store keys
-/// predate stage naming and must stay byte-identical (mirrors
-/// `arc_workloads::LEGACY_STAGES`; sim-service deliberately does not
-/// depend on the workloads crate).
-const LEGACY_STAGES: [&str; 3] = ["forward", "loss", "gradcomp"];
+/// Key of a trace-digest memo entry (see [`crate::store::TraceMemo`]):
+///
+/// ```text
+/// memo key = H( tag("arc-tracegen-memo-v1")
+///             ‖ seg(TRACEGEN_VERSION)
+///             ‖ seg(canonical WorkloadSpec JSON) )
+/// ```
+///
+/// `spec_json` is the compact JSON of the exact spec handed to
+/// `WorkloadSpec::build` — already scaled, so the scale is part of
+/// the key through the canvas and primitive counts it sets.
+pub fn memo_key(tracegen_version: &str, spec_json: &str) -> Digest {
+    let mut h = Blake2s::new();
+    seg(&mut h, b"arc-tracegen-memo-v1");
+    seg(&mut h, tracegen_version.as_bytes());
+    seg(&mut h, spec_json.as_bytes());
+    h.finalize()
+}
 
 #[cfg(test)]
 mod tests {
@@ -366,6 +379,21 @@ mod tests {
         assert_eq!(
             trace_digest(&trace).to_hex(),
             "bbf7cd22276f0e971764e99c3a4a4bf271aeb8e5cbfd2a69b9972e3d59aff20b"
+        );
+    }
+
+    #[test]
+    fn memo_key_moves_with_version_and_spec() {
+        let base = memo_key("v1", "{\"id\":\"a\"}");
+        assert_eq!(base, memo_key("v1", "{\"id\":\"a\"}"));
+        assert_ne!(base, memo_key("v2", "{\"id\":\"a\"}"));
+        assert_ne!(base, memo_key("v1", "{\"id\":\"b\"}"));
+        // Length prefixes keep the version/spec split injective.
+        assert_ne!(memo_key("v1{", "x"), memo_key("v1", "{x"));
+        // Pinned: moving the encoding strands every stored memo.
+        assert_eq!(
+            memo_key("v1", "{\"id\":\"a\"}").to_hex(),
+            "55c6ea32502822059ba590b0c240e4d99496a3b1d6a73367e66941d08a81c6a4"
         );
     }
 

@@ -10,9 +10,13 @@
 //!   bytes, [`gpu_sim::GpuConfig`], `Technique`, telemetry config, and
 //!   the [`gpu_sim::SIM_VERSION`] fingerprint ([`key`]); entries are
 //!   written atomically and anything unservable is a miss, never an
-//!   error;
-//! * [`exec`] — the single execution choke point: check the store,
-//!   simulate on miss, populate;
+//!   error. It also memoizes each workload spec's per-stage trace
+//!   digests ([`store::TraceMemo`], keyed by
+//!   `arc_workloads::TRACEGEN_VERSION`), so callers can key lookups
+//!   without rendering;
+//! * [`exec`] — the single execution choke point: check the store
+//!   ([`exec::lookup`], trace-free), simulate on miss and populate
+//!   ([`exec::simulate`]);
 //! * [`daemon`] / [`client`] — `simserved`, a long-lived Unix-socket
 //!   server speaking length-prefixed JSON ([`proto`]) with request
 //!   deduplication, a global concurrency bound, and streamed batch
@@ -36,8 +40,12 @@ pub mod store;
 pub use client::{ClientError, DaemonClient};
 pub use daemon::DaemonHandle;
 pub use exec::request_key;
-pub use exec::{run_cell, run_cell_with_digest, EngineOpts, SimRequest, SimResult};
+pub use exec::{
+    lookup, run_cell, run_cell_with_digest, simulate, CellQuery, EngineOpts, SimRequest, SimResult,
+};
 pub use hash::{blake2s, Digest};
-pub use key::{store_key, store_key_staged, trace_digest};
+pub use key::{memo_key, store_key, store_key_staged, trace_digest};
 pub use proto::WireCell;
-pub use store::{FsckReport, GcReport, ResultStore, StoreStats, StoredValue};
+pub use store::{
+    FsckReport, GcReport, MemoStage, ResultStore, StoreStats, StoredValue, TraceMemo, VerifyReport,
+};

@@ -4,6 +4,7 @@
 //!
 //! ```text
 //! <root>/objects/<64-hex-key>.json   one entry per simulated cell
+//! <root>/traces/<64-hex-key>.json    one trace-digest memo per workload spec
 //! <root>/index.json                  {sim_version, next_seq, entries}
 //! ```
 //!
@@ -24,6 +25,15 @@
 //! The index file is a cache of entry sizes and insertion order for
 //! `gc`; it is advisory. `fsck` rebuilds it from the objects directory
 //! and deletes undecodable objects.
+//!
+//! A trace-digest memo ([`TraceMemo`]) maps a workload spec to the
+//! per-stage trace digests of the frame it renders, so a caller can key
+//! its result lookups without rendering. Memos follow the same rules —
+//! atomic writes, paranoid reads — and are checked against
+//! `arc_workloads::TRACEGEN_VERSION` instead of `SIM_VERSION`. They are
+//! not in the index: `gc` evicts them only once evicting objects alone
+//! cannot meet its budget, and losing one costs a re-render, never a
+//! wrong result.
 
 use std::collections::HashMap;
 use std::fs;
@@ -34,9 +44,10 @@ use std::sync::Mutex;
 
 use gpu_sim::telemetry::KernelTelemetry;
 use gpu_sim::KernelReport;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::hash::Digest;
+use crate::key::memo_key;
 
 /// The value stored per key: the full observable output of one
 /// simulation cell.
@@ -53,6 +64,32 @@ pub struct StoredValue {
     /// Pre-rendered `chrome://tracing` JSON, when it was requested at
     /// production time. Derivable from `telemetry`, so optional.
     pub chrome: Option<String>,
+}
+
+/// One stage of a memoized frame: what keys the stage's store lookups.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MemoStage {
+    /// Stage name (joins the store key for non-legacy stages).
+    pub name: String,
+    /// Whether the technique's trace rewrite applies to the stage.
+    pub rewritable: bool,
+    /// [`crate::key::trace_digest`] of the stage's trace.
+    pub digest: Digest,
+}
+
+/// A trace-digest memo entry: the stages of the frame one workload
+/// spec renders to, under one trace-generation version. Stored at
+/// `traces/<hex of memo_key(tracegen_version, spec JSON)>.json`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct TraceMemo {
+    /// Hex of the memo key (integrity check, like [`StoredValue::key`]).
+    pub key: String,
+    /// `arc_workloads::TRACEGEN_VERSION` at production time.
+    pub tracegen_version: String,
+    /// The exact workload spec that was built, as JSON.
+    pub spec: Value,
+    /// The frame's stages, in pipeline order.
+    pub stages: Vec<MemoStage>,
 }
 
 /// One advisory index row.
@@ -102,8 +139,21 @@ pub struct FsckReport {
     pub valid: u64,
     /// Undecodable / mismatched / stale objects removed.
     pub removed: u64,
-    /// Orphaned temp files swept.
+    /// Orphaned temp files swept (objects and memos).
     pub temps_swept: u64,
+    /// Valid trace-digest memos kept.
+    pub memos_valid: u64,
+    /// Undecodable / mismatched / stale memos removed.
+    pub memos_removed: u64,
+}
+
+/// Outcome of [`ResultStore::verify_memos`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerifyReport {
+    /// Memos whose stages a fresh render reproduced.
+    pub verified: u64,
+    /// Memos a fresh render contradicted (or could not render); removed.
+    pub mismatched: u64,
 }
 
 /// Outcome of [`ResultStore::gc`].
@@ -113,7 +163,10 @@ pub struct GcReport {
     pub evicted: u64,
     /// Entries skipped because a reader had them pinned.
     pub pinned_kept: u64,
-    /// Total object bytes remaining after the sweep.
+    /// Trace-digest memos evicted (only once no object is left to
+    /// evict).
+    pub memos_evicted: u64,
+    /// Total object and memo bytes remaining after the sweep.
     pub bytes_after: u64,
 }
 
@@ -121,6 +174,7 @@ pub struct GcReport {
 pub struct ResultStore {
     root: PathBuf,
     sim_version: String,
+    tracegen_version: String,
     tmp_seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -148,13 +202,16 @@ impl ResultStore {
     }
 
     /// Opens a store pinned to an explicit version string (tests use
-    /// this to simulate stale stores).
+    /// this to simulate stale stores). Memos are keyed for the current
+    /// `arc_workloads::TRACEGEN_VERSION`.
     pub fn open_versioned(root: impl Into<PathBuf>, sim_version: &str) -> io::Result<ResultStore> {
         let root = root.into();
         fs::create_dir_all(root.join("objects"))?;
+        fs::create_dir_all(root.join("traces"))?;
         Ok(ResultStore {
             root,
             sim_version: sim_version.to_string(),
+            tracegen_version: arc_workloads::TRACEGEN_VERSION.to_string(),
             tmp_seq: AtomicU64::new(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -179,6 +236,12 @@ impl ResultStore {
     fn object_path(&self, key: &Digest) -> PathBuf {
         self.root
             .join("objects")
+            .join(format!("{}.json", key.to_hex()))
+    }
+
+    fn memo_path(&self, key: &Digest) -> PathBuf {
+        self.root
+            .join("traces")
             .join(format!("{}.json", key.to_hex()))
     }
 
@@ -270,6 +333,86 @@ impl ResultStore {
         Ok(())
     }
 
+    /// The memo for `spec`, if the store holds a servable one. Like
+    /// [`ResultStore::get`], any defect — missing file, unparsable
+    /// JSON, an embedded key or `tracegen_version` that does not match,
+    /// a spec that does not hash to the key — is a miss. Memo lookups
+    /// do not count in [`StoreStats`], which counts result lookups.
+    pub fn get_memo<S: Serialize + ?Sized>(&self, spec: &S) -> Option<TraceMemo> {
+        let spec_json = serde_json::to_string(spec).ok()?;
+        self.read_memo(&memo_key(&self.tracegen_version, &spec_json))
+    }
+
+    /// Records the stages `spec` renders to under the store's
+    /// trace-generation version.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the memo cannot be written.
+    pub fn put_memo<S: Serialize + ?Sized>(
+        &self,
+        spec: &S,
+        stages: &[MemoStage],
+    ) -> io::Result<()> {
+        let to_io =
+            |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        let spec_json = serde_json::to_string(spec).map_err(to_io)?;
+        let key = memo_key(&self.tracegen_version, &spec_json);
+        let memo = TraceMemo {
+            key: key.to_hex(),
+            tracegen_version: self.tracegen_version.clone(),
+            spec: serde_json::from_str(&spec_json).map_err(to_io)?,
+            stages: stages.to_vec(),
+        };
+        let json = serde_json::to_string(&memo).map_err(to_io)?;
+        self.write_atomic(&self.memo_path(&key), json.as_bytes())
+    }
+
+    /// The memo stored under `key`, validated against that key and the
+    /// store's trace-generation version.
+    fn read_memo(&self, key: &Digest) -> Option<TraceMemo> {
+        let bytes = fs::read_to_string(self.memo_path(key)).ok()?;
+        let memo: TraceMemo = serde_json::from_str(&bytes).ok()?;
+        let spec_json = serde_json::to_string(&memo.spec).ok()?;
+        let valid = memo.key == key.to_hex()
+            && memo.tracegen_version == self.tracegen_version
+            && memo_key(&memo.tracegen_version, &spec_json) == *key
+            && !memo.stages.is_empty();
+        valid.then_some(memo)
+    }
+
+    /// Hex keys (with sizes) of every memo file on disk.
+    fn scan_memos(&self) -> Vec<(Digest, u64)> {
+        scan_dir(&self.root.join("traces"))
+    }
+
+    /// Re-derives every servable memo's stages with `render` (given
+    /// the memo's spec JSON; `None` when the spec cannot be rendered)
+    /// and deletes each memo the fresh stages contradict. Undecodable
+    /// memos are left to [`ResultStore::fsck`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if a contradicted memo cannot be removed.
+    pub fn verify_memos(
+        &self,
+        render: impl Fn(&Value) -> Option<Vec<MemoStage>>,
+    ) -> io::Result<VerifyReport> {
+        let mut report = VerifyReport::default();
+        for (key, _) in self.scan_memos() {
+            let Some(memo) = self.read_memo(&key) else {
+                continue;
+            };
+            if render(&memo.spec).as_deref() == Some(memo.stages.as_slice()) {
+                report.verified += 1;
+            } else {
+                fs::remove_file(self.memo_path(&key))?;
+                report.mismatched += 1;
+            }
+        }
+        Ok(report)
+    }
+
     /// Hit/miss/put counters for this handle.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
@@ -348,24 +491,7 @@ impl ResultStore {
 
     /// Hex keys (with sizes) of every object file on disk.
     fn scan_objects(&self) -> Vec<(Digest, u64)> {
-        let mut out = Vec::new();
-        let Ok(dir) = fs::read_dir(self.root.join("objects")) else {
-            return out;
-        };
-        for entry in dir.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(hex) = name.strip_suffix(".json") else {
-                continue;
-            };
-            let Some(key) = Digest::from_hex(hex) else {
-                continue;
-            };
-            let size = entry.metadata().map(|m| m.len()).unwrap_or(0);
-            out.push((key, size));
-        }
-        out.sort_by_key(|(k, _)| *k);
-        out
+        scan_dir(&self.root.join("objects"))
     }
 
     /// Verify every object on disk; remove undecodable/stale ones and
@@ -375,7 +501,10 @@ impl ResultStore {
         let mut report = FsckReport::default();
 
         // Sweep orphaned temp files first (crashed writers).
-        if let Ok(dir) = fs::read_dir(self.root.join("objects")) {
+        for sub in ["objects", "traces"] {
+            let Ok(dir) = fs::read_dir(self.root.join(sub)) else {
+                continue;
+            };
             for entry in dir.flatten() {
                 let name = entry.file_name();
                 let Some(name) = name.to_str() else { continue };
@@ -383,6 +512,15 @@ impl ResultStore {
                     let _ = fs::remove_file(entry.path());
                     report.temps_swept += 1;
                 }
+            }
+        }
+
+        for (key, _) in self.scan_memos() {
+            if self.read_memo(&key).is_some() {
+                report.memos_valid += 1;
+            } else {
+                let _ = fs::remove_file(self.memo_path(&key));
+                report.memos_removed += 1;
             }
         }
 
@@ -433,12 +571,15 @@ impl ResultStore {
         Ok(report)
     }
 
-    /// Evict least-recently-used entries until total object bytes fit
-    /// in `max_bytes`. "Used" means read (`get`) or inserted, whichever
-    /// came later — so a hot entry survives a sweep even when it was
-    /// written long before colder, newer ones. Pinned entries
+    /// Evict least-recently-used entries until total object and memo
+    /// bytes fit in `max_bytes`. "Used" means read (`get`) or inserted,
+    /// whichever came later — so a hot entry survives a sweep even when
+    /// it was written long before colder, newer ones. Pinned entries
     /// (mid-read) are never evicted — they are skipped this pass and
-    /// remain candidates for the next one.
+    /// remain candidates for the next one. Memos go only when evicting
+    /// every unpinned object still leaves the store over budget, oldest
+    /// write first: each is tiny, and losing one only costs a
+    /// re-render.
     pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
         let _guard = self.index_lock.lock().unwrap();
         let mut report = GcReport::default();
@@ -481,7 +622,20 @@ impl ResultStore {
         }
         live.sort_by_key(|(_, e)| e.recency());
 
-        let mut total: u64 = live.iter().map(|(_, e)| e.bytes).sum();
+        let mut memos: Vec<(std::time::SystemTime, Digest, u64)> = self
+            .scan_memos()
+            .into_iter()
+            .map(|(key, bytes)| {
+                let written = fs::metadata(self.memo_path(&key))
+                    .and_then(|m| m.modified())
+                    .unwrap_or(std::time::UNIX_EPOCH);
+                (written, key, bytes)
+            })
+            .collect();
+        memos.sort();
+
+        let mut total: u64 = live.iter().map(|(_, e)| e.bytes).sum::<u64>()
+            + memos.iter().map(|(_, _, b)| b).sum::<u64>();
         let mut kept = Vec::new();
         for (key, entry) in live {
             if total <= max_bytes {
@@ -497,6 +651,14 @@ impl ResultStore {
             report.evicted += 1;
             total -= entry.bytes;
         }
+        for (_, key, bytes) in memos {
+            if total <= max_bytes {
+                break;
+            }
+            let _ = fs::remove_file(self.memo_path(&key));
+            report.memos_evicted += 1;
+            total -= bytes;
+        }
         report.bytes_after = total;
         kept.sort_by_key(|e| e.seq);
         self.store_index(&IndexFile {
@@ -506,6 +668,28 @@ impl ResultStore {
         })?;
         Ok(report)
     }
+}
+
+/// Keys (with sizes) of every `<64-hex>.json` file in `dir`, sorted.
+fn scan_dir(dir: &Path) -> Vec<(Digest, u64)> {
+    let mut out = Vec::new();
+    let Ok(entries) = fs::read_dir(dir) else {
+        return out;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let Some(hex) = name.strip_suffix(".json") else {
+            continue;
+        };
+        let Some(key) = Digest::from_hex(hex) else {
+            continue;
+        };
+        let size = entry.metadata().map(|m| m.len()).unwrap_or(0);
+        out.push((key, size));
+    }
+    out.sort_by_key(|(k, _)| *k);
+    out
 }
 
 /// Keeps one key safe from `gc` while alive. Returned by

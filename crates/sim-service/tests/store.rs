@@ -11,7 +11,8 @@ use arc_core::technique::Technique;
 use gpu_sim::telemetry::TelemetryConfig;
 use gpu_sim::GpuConfig;
 use sim_service::{
-    daemon, run_cell, trace_digest, DaemonClient, EngineOpts, ResultStore, SimRequest, WireCell,
+    daemon, memo_key, run_cell, trace_digest, DaemonClient, EngineOpts, MemoStage, ResultStore,
+    SimRequest, TraceMemo, WireCell,
 };
 use warp_trace::{AtomicInstr, KernelKind, KernelTrace, WarpTraceBuilder};
 
@@ -325,6 +326,149 @@ fn fsck_removes_garbage_and_keeps_valid_entries() {
     assert_eq!(report.removed, 1);
     assert_eq!(report.temps_swept, 1);
     assert_eq!(store.entry_count(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stand-in workload spec: memos accept any serializable spec.
+fn memo_spec(id: &str) -> serde::Value {
+    serde_json::from_str(&format!("{{\"id\":\"{id}\",\"width\":64}}")).unwrap()
+}
+
+fn memo_stages(seed: &[u8]) -> Vec<MemoStage> {
+    vec![
+        MemoStage {
+            name: "forward".to_string(),
+            rewritable: false,
+            digest: sim_service::blake2s(seed),
+        },
+        MemoStage {
+            name: "gradcomp".to_string(),
+            rewritable: true,
+            digest: sim_service::blake2s(&[seed, b"/g"].concat()),
+        },
+    ]
+}
+
+fn memo_file(dir: &std::path::Path, spec: &serde::Value) -> PathBuf {
+    let key = memo_key(
+        arc_workloads::TRACEGEN_VERSION,
+        &serde_json::to_string(spec).unwrap(),
+    );
+    dir.join("traces").join(format!("{}.json", key.to_hex()))
+}
+
+#[test]
+fn memo_round_trips_and_fails_closed() {
+    let dir = scratch_dir("memo");
+    let store = ResultStore::open(&dir).unwrap();
+    let spec = memo_spec("a");
+    assert!(store.get_memo(&spec).is_none(), "absent memo is a miss");
+    store.put_memo(&spec, &memo_stages(b"a")).unwrap();
+    let memo = store.get_memo(&spec).expect("fresh memo is served");
+    assert_eq!(memo.stages, memo_stages(b"a"));
+    assert_eq!(memo.spec, spec);
+    assert!(store.get_memo(&memo_spec("b")).is_none());
+
+    // A memo whose spec was edited no longer hashes to its key.
+    let path = memo_file(&dir, &spec);
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, text.replace("\"width\":64", "\"width\":65")).unwrap();
+    assert!(store.get_memo(&spec).is_none(), "edited spec is a miss");
+    // So is a digest that is not 64 hex digits.
+    store.put_memo(&spec, &memo_stages(b"a")).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let hex = memo_stages(b"a")[0].digest.to_hex();
+    std::fs::write(&path, text.replace(&hex, &hex[..10])).unwrap();
+    assert!(store.get_memo(&spec).is_none(), "short digest is a miss");
+    // Memo lookups are not result lookups.
+    assert_eq!(store.stats().hits + store.stats().misses, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fsck_sweeps_bad_memos_and_memo_temp_files() {
+    let dir = scratch_dir("fsck-memo");
+    let store = ResultStore::open(&dir).unwrap();
+    store
+        .put_memo(&memo_spec("good"), &memo_stages(b"good"))
+        .unwrap();
+    store
+        .put_memo(&memo_spec("stale"), &memo_stages(b"stale"))
+        .unwrap();
+    let stale = memo_file(&dir, &memo_spec("stale"));
+    let mut memo: TraceMemo =
+        serde_json::from_str(&std::fs::read_to_string(&stale).unwrap()).unwrap();
+    memo.tracegen_version = "arc-tracegen-old".to_string();
+    std::fs::write(&stale, serde_json::to_string(&memo).unwrap()).unwrap();
+    let bogus = sim_service::blake2s(b"bogus-memo");
+    std::fs::write(
+        dir.join("traces").join(format!("{}.json", bogus.to_hex())),
+        "{\"key\": \"trunc",
+    )
+    .unwrap();
+    std::fs::write(dir.join("traces").join("y.json.tmp.7.1"), "junk").unwrap();
+
+    let report = store.fsck().unwrap();
+    assert_eq!(report.memos_valid, 1);
+    assert_eq!(report.memos_removed, 2);
+    assert_eq!(report.temps_swept, 1);
+    assert!(store.get_memo(&memo_spec("good")).is_some());
+    assert!(!stale.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn gc_evicts_memos_only_after_every_object() {
+    let dir = scratch_dir("gc-memo");
+    let store = ResultStore::open(&dir).unwrap();
+    let trace = gradcomp_trace(0.02);
+    let req = request(&trace, Technique::Baseline);
+    run_cell(Some(&store), &req, &EngineOpts::default()).unwrap();
+    store.put_memo(&memo_spec("m"), &memo_stages(b"m")).unwrap();
+    let memo_bytes = std::fs::metadata(memo_file(&dir, &memo_spec("m")))
+        .unwrap()
+        .len();
+
+    // A budget the memo alone fits: the object goes, the memo stays.
+    let gc = store.gc(memo_bytes).unwrap();
+    assert_eq!((gc.evicted, gc.memos_evicted), (1, 0));
+    assert_eq!(gc.bytes_after, memo_bytes);
+    assert!(store.get_memo(&memo_spec("m")).is_some());
+    // Nothing fits: the memo goes too.
+    let gc = store.gc(0).unwrap();
+    assert_eq!((gc.evicted, gc.memos_evicted), (0, 1));
+    assert_eq!(gc.bytes_after, 0);
+    assert!(store.get_memo(&memo_spec("m")).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn verify_memos_deletes_what_a_fresh_render_contradicts() {
+    let dir = scratch_dir("verify-memo");
+    let store = ResultStore::open(&dir).unwrap();
+    for id in ["same", "moved", "unrenderable"] {
+        store
+            .put_memo(&memo_spec(id), &memo_stages(id.as_bytes()))
+            .unwrap();
+    }
+    let report = store
+        .verify_memos(|spec| {
+            let id = spec.field("id").ok().and_then(|v| match v {
+                serde::Value::Str(s) => Some(s.clone()),
+                _ => None,
+            })?;
+            match id.as_str() {
+                "same" => Some(memo_stages(b"same")),
+                "moved" => Some(memo_stages(b"moved elsewhere")),
+                _ => None,
+            }
+        })
+        .unwrap();
+    assert_eq!(report.verified, 1);
+    assert_eq!(report.mismatched, 2);
+    assert!(store.get_memo(&memo_spec("same")).is_some());
+    assert!(store.get_memo(&memo_spec("moved")).is_none());
+    assert!(store.get_memo(&memo_spec("unrenderable")).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -15,12 +15,18 @@
 #                ARC_FF x ARC_SIM_EPOCH
 #   store        result-store round-trip: the JSON writer byte-identity
 #                snapshots (store keys and objects are hashes of those
-#                bytes), the sim-service unit tests (pinned trace digest,
-#                daemon fail-closed coalescing and dedup keys, frame
-#                length checks), then the fixed `simserved sweep` grid
-#                runs cold then warm against a temp store; stdout must
-#                be byte-identical, the warm pass must be all hits and
-#                >= 5x faster
+#                bytes), the tracegen golden (memo keys trust it), the
+#                sim-service unit tests (pinned trace digest, daemon
+#                fail-closed coalescing, dedup keys and writer lock,
+#                frame length checks), the harness trace-memo fail-closed
+#                tests, then the fixed `simserved sweep` grid runs cold
+#                then warm against a temp store; stdout must be
+#                byte-identical and the warm pass all hits. On the same
+#                store, `figures --store` runs cold then warm: identical
+#                stdout, and the warm run renders no frame and misses
+#                nothing. `simserved fsck --verify-traces` then re-renders
+#                every memoized spec and must find no mismatch. Last, the
+#                warm sweep must be >= 5x faster than the cold one
 #   frame        multi-kernel frame pipeline: the tile-binned 3DGS
 #                structural tests (sorted-key monotonicity, bin-edge /
 #                scan cross-check, image == functional rasterizer), the
@@ -169,10 +175,17 @@ step_store() {
   echo "== JSON writer byte-identity (snapshots blessed before the writer rewrite) =="
   cargo test -q -p conformance --test json_identity
 
+  echo "== tracegen golden (stage digests pinned under TRACEGEN_VERSION) =="
+  cargo test -q -p conformance --test tracegen
+
   echo "== sim-service unit tests (digest pin, daemon fail-closed, frames) =="
   cargo test -q -p sim-service --lib
 
+  echo "== harness trace-memo fail-closed tests =="
+  cargo test -q -p arc-bench --test trace_memo
+
   cargo build --release -q -p sim-service --bin simserved
+  cargo build --release -q -p arc-bench --bin figures
 
   echo "== result store round-trip (simserved sweep, cold vs warm) =="
   # The fixed sweep grid runs twice against a fresh temp store. The
@@ -198,6 +211,39 @@ step_store() {
   ./target/release/simserved fsck --store "$storedir" | tee "$TMPROOT/fsck.out"
   if ! grep -q ' 0 removed' "$TMPROOT/fsck.out"; then
     echo "store round-trip FAILED: fsck removed entries from a freshly written store"
+    exit 1
+  fi
+
+  echo "== harness warm check (figures --store, cold then warm) =="
+  # The bench harness on the same store: the cold run renders, simulates
+  # and memoizes each workload's stage digests; the warm run must print
+  # byte-identical figures without rendering a frame or missing a cell.
+  local figcold="$TMPROOT/figures-cold" figwarm="$TMPROOT/figures-warm"
+  ./target/release/figures --store "$storedir" --scale 0.2 --jobs 2 fig22 \
+    > "$figcold.out" 2> "$figcold.err"
+  ./target/release/figures --store "$storedir" --scale 0.2 --jobs 2 fig22 \
+    > "$figwarm.out" 2> "$figwarm.err"
+  if ! cmp -s "$figcold.out" "$figwarm.out"; then
+    echo "harness warm check FAILED: warm figures differ from cold:"
+    diff "$figcold.out" "$figwarm.out" || true
+    exit 1
+  fi
+  grep '^store-summary ' "$figcold.err" "$figwarm.err"
+  local warm_frames fig_misses
+  warm_frames=$(awk '/^store-summary/{print $3}' "$figwarm.err")
+  fig_misses=$(awk '/^store-summary/{print $7}' "$figwarm.err")
+  if [ "$warm_frames" != "0" ] || [ "$fig_misses" != "0" ]; then
+    echo "harness warm check FAILED: warm run built $warm_frames frames and missed $fig_misses cells (want 0 and 0)"
+    exit 1
+  fi
+
+  echo "== memoized trace digests == fresh renders (fsck --verify-traces) =="
+  # Exits non-zero (after deleting the memo) if any memoized digest
+  # differs from a fresh render of its spec.
+  ./target/release/simserved fsck --store "$storedir" --verify-traces \
+    | tee "$TMPROOT/verify.out"
+  if ! grep -Eq ' 0 removed, .*; memos: [1-9][0-9]* valid, 0 removed' "$TMPROOT/verify.out"; then
+    echo "store round-trip FAILED: fsck removed entries or found no memo to verify"
     exit 1
   fi
 
